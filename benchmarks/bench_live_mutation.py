@@ -7,10 +7,13 @@ read-only traffic.  This bench measures what typed delta propagation
 buys on the I1-shaped synthetic instance:
 
 * **delta vs rebuild cost** — the mean per-write kernel patch time
-  (``maintenance.patch_wall_seconds`` over the writes applied) against
-  the full price a rebuild pays (kernel construction + building every
-  ConnectionIndex slab).  The ISSUE 10 acceptance floor is >= 5x; the
-  ratio is machine-relative, so shared-runner noise cannot flake it;
+  (``maintenance.patch_wall_seconds`` over every delta applied: the
+  mixed run's writes plus a dedicated sequence of DELTA_SAMPLES tag and
+  DELTA_SAMPLES comment writes, whose per-kind medians are reported
+  too) against the full price a rebuild pays (kernel construction +
+  building every ConnectionIndex slab).  The acceptance floor is
+  >= 5x; the ratio is machine-relative, so shared-runner noise cannot
+  flake it;
 * **mixed-traffic throughput** — closed-loop qps over ~1%-write traffic
   (every write a delta-expressible ``add_tag``) against the same
   workload read-only.  The floor is mixed >= 0.5x read-only: writes
@@ -30,6 +33,7 @@ CI gate in ``check_live_mutation.py`` reads the fresh copy).
 """
 
 import random
+import statistics
 import time
 from typing import Dict, List
 
@@ -53,6 +57,8 @@ WRITE_EVERY = 100
 #: Timing passes; the best pass is reported (load spikes only ever slow
 #: a pass down).
 TIMING_ROUNDS = 3
+#: Writes of each kind (tag, comment) in the dedicated delta-cost sequence.
+DELTA_SAMPLES = 50
 #: ISSUE 10 acceptance floors.
 DELTA_VS_REBUILD_FLOOR = 5.0
 MIXED_QPS_FLOOR = 0.5
@@ -90,6 +96,20 @@ def _writes(instance, count: int, serial_base: int) -> List[Dict[str, object]]:
     ]
 
 
+def _comment_writes(instance, count: int) -> List[Dict[str, object]]:
+    """Delta-expressible comments: fresh comment URIs on existing nodes."""
+    rng = random.Random(SEED + 1)
+    nodes = sorted(str(node) for node in instance.node_to_document)
+    return [
+        {
+            "op": "add_comment_edge",
+            "comment": f"bench_comment_{serial}",
+            "target": rng.choice(nodes),
+        }
+        for serial in range(count)
+    ]
+
+
 def _run_read_only(engine, queries) -> float:
     best = float("inf")
     for _ in range(TIMING_ROUNDS):
@@ -122,6 +142,21 @@ def _run_mixed(engine, queries, writes) -> Dict[str, object]:
     }
 
 
+def _run_delta_sequence(engine, tags, comments) -> Dict[str, List[float]]:
+    """Apply alternating tag and comment writes; per kind, the kernel
+    patch time of each write (its growth of ``patch_wall_seconds``)."""
+    patch_ms: Dict[str, List[float]] = {"add_tag": [], "add_comment_edge": []}
+    patched = engine.stats()["maintenance"]["patch_wall_seconds"]
+    for tag, comment in zip(tags, comments):
+        for write in (tag, comment):
+            response = engine.mutate(write)
+            assert response.mode == "delta", response
+            total = engine.stats()["maintenance"]["patch_wall_seconds"]
+            patch_ms[write["op"]].append((total - patched) * 1e3)
+            patched = total
+    return patch_ms
+
+
 def _rebuild_seconds(instance) -> float:
     """The full price one inexpressible write makes the next answer pay:
     kernel construction plus every ConnectionIndex slab."""
@@ -150,6 +185,11 @@ def test_live_mutation(twitter_instance):
         read_only_qps = _run_read_only(engine, queries)
         n_writes = (N_REQUESTS - 1) // WRITE_EVERY
         mixed = _run_mixed(engine, queries, _writes(instance, n_writes, 0))
+        patch_ms = _run_delta_sequence(
+            engine,
+            _writes(instance, DELTA_SAMPLES, n_writes),
+            _comment_writes(instance, DELTA_SAMPLES),
+        )
 
         maintenance = engine.stats()["maintenance"]
         deltas_applied = int(maintenance["deltas_applied"])
@@ -196,6 +236,11 @@ def test_live_mutation(twitter_instance):
         "mixed_qps": round(mixed["qps"], 2),
         "qps_ratio": round(qps_ratio, 3),
         "delta_apply_ms_mean": round(delta_apply_seconds * 1e3, 3),
+        "delta_samples_per_kind": DELTA_SAMPLES,
+        "delta_tag_ms_p50": round(statistics.median(patch_ms["add_tag"]), 3),
+        "delta_comment_ms_p50": round(
+            statistics.median(patch_ms["add_comment_edge"]), 3
+        ),
         "rebuild_ms": round(rebuild_seconds * 1e3, 3),
         "delta_vs_rebuild_ratio": round(ratio, 2),
         "delta_fraction": round(delta_fraction, 3),
@@ -216,6 +261,8 @@ def test_live_mutation(twitter_instance):
         ["mixed (~1% write) qps", f"{mixed['qps']:.0f}"],
         ["mixed / read-only", f"{qps_ratio:.2f}x"],
         ["delta apply (mean)", f"{delta_apply_seconds * 1e3:.2f} ms"],
+        ["tag delta (p50)", f"{payload['delta_tag_ms_p50']:.2f} ms"],
+        ["comment delta (p50)", f"{payload['delta_comment_ms_p50']:.2f} ms"],
         ["full rebuild", f"{rebuild_seconds * 1e3:.1f} ms"],
         ["rebuild / delta", f"{ratio:.1f}x"],
         ["staleness window (max)", f"{payload['staleness_ms_max']:.2f} ms"],

@@ -15,15 +15,17 @@ where ``neigh*(v)`` is the closed vertical neighborhood of ``v`` and
 probability-like mass ``T[v, m]``; rows sum to 1 (or 0 for sinks), which
 yields the attenuation bounds of the concrete score.
 
-Both a vectorized mode (scipy CSR, the paper's RAM-resident sparse
-matrices) and a naive dict-of-dicts mode (for the ablation benchmark and as
-an oracle in tests) are provided.
+The rows live in one sorted forward CSR ``T``; a vectorized mode steps
+with its transpose (scipy CSR, the paper's RAM-resident sparse matrices)
+and a naive pure-Python mode walks ``T``'s rows (for the ablation
+benchmark and as an oracle in tests).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from collections import defaultdict
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
 from scipy import sparse
@@ -62,58 +64,74 @@ class ProximityIndex:
         return self._nodes[index]
 
     # ------------------------------------------------------------------
-    def _out_edges_by_node(self) -> Dict[URI, List[Tuple[int, float]]]:
-        """Raw network out-edges, subject → [(target index, weight)]."""
-        edges: Dict[URI, List[Tuple[int, float]]] = defaultdict(list)
-        for uri in self._nodes:
-            for target, weight, _pred in self._instance.network_out_edges(uri):
+    def _out_edges(
+        self, members: Iterable[URI]
+    ) -> Dict[URI, List[Tuple[int, float]]]:
+        """Raw network out-edges of *members*, member → sorted
+        [(target index, weight)] (members without in-universe edges are
+        left out)."""
+        edges: Dict[URI, List[Tuple[int, float]]] = {}
+        for member in members:
+            entries: List[Tuple[int, float]] = []
+            for target, weight, _pred in self._instance.network_out_edges(member):
                 target_index = self._index.get(target)
                 if target_index is not None and weight > 0.0:
-                    edges[uri].append((target_index, weight))
+                    entries.append((target_index, weight))
+            if entries:
+                entries.sort()
+                edges[member] = entries
         return edges
 
     def _merged_row(
         self, uri: URI, own_edges: Dict[URI, List[Tuple[int, float]]]
-    ) -> Dict[int, float]:
-        """One normalized transition row — shared by full builds and
-        delta patches so both produce bit-identical float sequences."""
+    ) -> Tuple[List[int], List[float]]:
+        """One normalized transition row as ascending ``(targets,
+        values)`` — shared by full builds and delta patches so both
+        produce bit-identical float sequences.  Members and targets are
+        summed in sorted order, so the bits do not depend on set or
+        graph iteration order (and hence not on the string-hash seed)."""
         merged: Dict[int, float] = defaultdict(float)
-        for member in self._instance.vertical_neighborhood(uri):
+        for member in sorted(self._instance.vertical_neighborhood(uri)):
             for target_index, weight in own_edges.get(member, ()):
                 merged[target_index] += weight
-        total = sum(merged.values())
+        targets = sorted(merged)
+        weights = [merged[target_index] for target_index in targets]
+        total = sum(weights)
         if total <= 0.0:
-            return {}
-        return {
-            target_index: weight / total for target_index, weight in merged.items()
-        }
+            return [], []
+        return targets, [weight / total for weight in weights]
 
-    def _matrix_from_rows(self) -> None:
-        """(Re)build the transposed stepping CSR from ``self._rows``."""
-        rows: List[int] = []
-        cols: List[int] = []
-        data: List[float] = []
-        for v, row in enumerate(self._rows):
-            for target_index, normalized in row.items():
-                rows.append(v)
-                cols.append(target_index)
-                data.append(normalized)
+    def _set_transition(
+        self, indptr: np.ndarray, indices: np.ndarray, data: np.ndarray
+    ) -> None:
+        """Install the forward CSR ``T`` (rows sorted) and derive a fresh
+        transposed stepping matrix from it."""
         n = len(self._nodes)
-        matrix = sparse.csr_matrix(
-            (data, (rows, cols)), shape=(n, n), dtype=np.float64
+        #: forward transition, one sorted CSR row per node: the only row
+        #: store (naive stepping, :meth:`transition_row`, delta splices).
+        self._transition = sparse.csr_matrix(
+            (data, indices, indptr), shape=(n, n), dtype=np.float64
         )
         #: transposed transition, so that ``next = T^T @ border`` is a
-        #: single CSR mat-vec.
-        self._transition_t = matrix.transpose().tocsr()
-        self._transition_t.sort_indices()
+        #: single CSR mat-vec; each row lists its sources in ascending
+        #: order.
+        self._transition_t = self._transition.transpose().tocsr()
 
     def _build_transition(self) -> None:
-        own_edges = self._out_edges_by_node()
-        row_dicts: List[Dict[int, float]] = [dict() for _ in self._nodes]
-        for uri in self._nodes:
-            row_dicts[self._index[uri]] = self._merged_row(uri, own_edges)
-        self._rows = row_dicts
-        self._matrix_from_rows()
+        own_edges = self._out_edges(self._nodes)
+        indptr = np.zeros(len(self._nodes) + 1, dtype=np.int64)
+        indices: List[int] = []
+        data: List[float] = []
+        for v, uri in enumerate(self._nodes):
+            targets, values = self._merged_row(uri, own_edges)
+            indices.extend(targets)
+            data.extend(values)
+            indptr[v + 1] = len(indices)
+        self._set_transition(
+            indptr,
+            np.asarray(indices, dtype=np.int64),
+            np.asarray(data, dtype=np.float64),
+        )
 
     # ------------------------------------------------------------------
     # Transition placement (SlabStore hooks)
@@ -121,7 +139,7 @@ class ProximityIndex:
     def transition_arrays(self) -> Optional[Dict[str, np.ndarray]]:
         """The transposed-transition CSR arrays, for placement in a
         :class:`~repro.storage.slab_store.SlabStore` (``None`` in naive
-        row-dict mode — there is no matrix to place)."""
+        mode — it never steps with the matrix)."""
         if not self.use_matrix:
             return None
         matrix = self._transition_t
@@ -162,13 +180,16 @@ class ProximityIndex:
         symmetric, the rows whose merged out-edges can change are exactly
         the closed vertical neighborhoods of those sources — every such
         row (plus every row of a node new to the universe) is recomputed
-        with :meth:`_merged_row`, then the stepping matrix is rebuilt
-        from the row dicts (never writing a possibly-adopted CSR in
-        place).  Returns ``(old_to_new, affected_rows)``: the old→new
-        dense index map when the universe grew (``None`` when indices are
-        unchanged) and the sorted new dense indices of every recomputed
-        row — a query whose exploration never touched one of those rows
-        steps bit-identically before and after the patch.
+        with :meth:`_merged_row` and spliced into new arrays for the
+        forward CSR ``T`` (the other rows are remapped and copied by
+        whole-array numpy operations; Python visits only the affected
+        rows), then a fresh ``T^T`` is derived, so a possibly-adopted
+        shm/mmap CSR is never written in place.  Returns ``(old_to_new,
+        affected_rows)``: the old→new dense index map when the universe
+        grew (``None`` when indices are unchanged) and the sorted new
+        dense indices of every recomputed row — a query whose
+        exploration never touched one of those rows steps
+        bit-identically before and after the patch.
 
         The caller must ensure the mutation only *added* universe nodes;
         a shrunk universe raises ``ValueError`` (fall back to a full
@@ -176,29 +197,37 @@ class ProximityIndex:
         """
         instance = self._instance
         current = instance.network_nodes()
-        added = sorted(uri for uri in current if uri not in self._index)
+        added = sorted(current.difference(self._index))
         if len(current) != len(self._nodes) + len(added):
             raise ValueError(
                 "network universe shrank; the proximity index cannot be "
                 "patched incrementally"
             )
-        old_nodes = self._nodes
-        old_rows = self._rows
+        matrix = self._transition
+        counts = np.diff(matrix.indptr).astype(np.int64)
+        indices = matrix.indices
         old_to_new: Optional[np.ndarray] = None
         if added:
-            self._nodes = sorted(current)
-            self._index = {uri: i for i, uri in enumerate(self._nodes)}
-            old_to_new = np.fromiter(
-                (self._index[uri] for uri in old_nodes),
-                dtype=np.int64,
-                count=len(old_nodes),
+            old_nodes = self._nodes
+            # Both lists are sorted: an old node moves up by the number
+            # of added nodes that sort before it.
+            inserted_at = np.asarray(
+                [bisect_left(old_nodes, uri) for uri in added], dtype=np.int64
             )
-            new_rows: List[Dict[int, float]] = [dict() for _ in self._nodes]
-            for v, row in enumerate(old_rows):
-                new_rows[int(old_to_new[v])] = {
-                    int(old_to_new[t]): w for t, w in row.items()
-                }
-            self._rows = new_rows
+            positions = np.arange(len(old_nodes), dtype=np.int64)
+            old_to_new = positions + np.searchsorted(
+                inserted_at, positions, side="right"
+            )
+            self._nodes = list(old_nodes)
+            for uri in added:
+                insort(self._nodes, uri)
+            self._index = dict(zip(self._nodes, range(len(self._nodes))))
+            # The map is monotone, so remapped rows stay sorted; new
+            # nodes start with empty rows.
+            remapped_counts = np.zeros(len(self._nodes), dtype=np.int64)
+            remapped_counts[old_to_new] = counts
+            counts = remapped_counts
+            indices = old_to_new[indices]
             # Neighborhood membership is unchanged by node additions
             # (documents are untouched), only dense indices shifted.
             self._neigh_cache = {
@@ -225,22 +254,38 @@ class ProximityIndex:
         needed: Set[URI] = set()
         for uri in affected:
             needed.update(instance.vertical_neighborhood(uri))
-        own_edges: Dict[URI, List[Tuple[int, float]]] = {}
-        for member in needed:
-            entries: List[Tuple[int, float]] = []
-            for target, weight, _pred in instance.network_out_edges(member):
-                target_index = self._index.get(target)
-                if target_index is not None and weight > 0.0:
-                    entries.append((target_index, weight))
-            if entries:
-                own_edges[member] = entries
-        for uri in affected:
-            self._rows[self._index[uri]] = self._merged_row(uri, own_edges)
-        self._matrix_from_rows()
+        own_edges = self._out_edges(needed)
         affected_rows = np.fromiter(
             sorted(self._index[uri] for uri in affected),
             dtype=np.int64,
             count=len(affected),
+        )
+
+        # Splice: keep the unaffected stretches between affected rows,
+        # put each recomputed row in its place.
+        offsets = np.zeros(len(counts) + 1, dtype=np.int64)
+        np.cumsum(counts, out=offsets[1:])
+        index_pieces: List[np.ndarray] = []
+        data_pieces: List[np.ndarray] = []
+        kept_from = 0
+        for row in affected_rows.tolist():
+            targets, values = self._merged_row(self._nodes[row], own_edges)
+            index_pieces += [
+                indices[offsets[kept_from] : offsets[row]],
+                np.asarray(targets, dtype=np.int64),
+            ]
+            data_pieces += [
+                matrix.data[offsets[kept_from] : offsets[row]],
+                np.asarray(values, dtype=np.float64),
+            ]
+            counts[row] = len(targets)
+            kept_from = row + 1
+        index_pieces.append(indices[offsets[kept_from] :])
+        data_pieces.append(matrix.data[offsets[kept_from] :])
+        indptr = np.zeros(len(counts) + 1, dtype=np.int64)
+        np.cumsum(counts, out=indptr[1:])
+        self._set_transition(
+            indptr, np.concatenate(index_pieces), np.concatenate(data_pieces)
         )
         return old_to_new, affected_rows
 
@@ -282,18 +327,27 @@ class ProximityIndex:
             [self._step_naive(borders[:, j]) for j in range(borders.shape[1])]
         )
 
+    def _row(self, v: int) -> Tuple[List[int], List[float]]:
+        """Row *v* of the forward transition as ascending ``(targets,
+        values)`` lists."""
+        matrix = self._transition
+        lo, hi = matrix.indptr[v], matrix.indptr[v + 1]
+        return matrix.indices[lo:hi].tolist(), matrix.data[lo:hi].tolist()
+
     def _step_naive(self, border: np.ndarray) -> np.ndarray:
-        """Pure-Python propagation (ablation / oracle)."""
+        """Pure-Python propagation (ablation / oracle).  Sources are
+        visited in ascending order, so each target sums its incoming
+        mass in the same order as the CSR mat-vec."""
         result = np.zeros_like(border)
         for v in np.nonzero(border)[0]:
             mass = border[v]
-            for target_index, weight in self._rows[v].items():
+            for target_index, weight in zip(*self._row(v)):
                 result[target_index] += mass * weight
         return result
 
     def transition_row(self, uri: URI) -> Dict[int, float]:
         """Normalized out-transitions of *uri* (over its neighborhood)."""
-        return dict(self._rows[self._index[uri]])
+        return dict(zip(*self._row(self._index[uri])))
 
     # ------------------------------------------------------------------
     # Source proximity

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 import time
-import warnings
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
@@ -774,23 +773,6 @@ def _normalize_keywords(keywords: Sequence[object]) -> Tuple[Term, ...]:
         if term not in terms:
             terms.append(term)
     return tuple(terms)
-
-
-def _coerce_query(query: object, default_k: int) -> Tuple[object, Sequence[object], int]:
-    """Deprecated shim: use :meth:`repro.engine.QueryRequest.from_obj`.
-
-    The ad-hoc ``(seeker, keywords, k)`` coercion moved into the typed
-    request layer; this name survives only for external callers.
-    """
-    warnings.warn(
-        "_coerce_query is deprecated; use repro.engine.QueryRequest.from_obj",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from ..engine.request import QueryRequest
-
-    request = QueryRequest.from_obj(query, default_k=default_k)
-    return request.seeker, request.keywords, request.k
 
 
 class S3kSearch:

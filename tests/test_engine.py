@@ -293,14 +293,6 @@ class TestEngineFacade:
             == after["engine"]["kernel_version"]
         )
 
-    def test_s3k_runner_is_deprecated_alias(self):
-        from repro.queries import s3k_runner
-
-        engine = S3kSearch(figure1_instance())
-        with pytest.warns(DeprecationWarning):
-            run = s3k_runner(engine)
-        assert run(QuerySpec(URI("u1"), ("degre",), 3)).results
-
 
 class TestFacadeInvalidation:
     def test_add_tag_invalidates_and_serves_fresh_answers(self):
