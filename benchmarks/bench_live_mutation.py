@@ -29,7 +29,7 @@ buys on the I1-shaped synthetic instance:
   not count.
 
 Emits ``BENCH_live_mutation.json`` (repo root + ``results/`` copy; the
-CI gate in ``check_live_mutation.py`` reads the fresh copy).
+CI gate ``check_gates.py live_mutation`` reads the fresh copy).
 """
 
 import random

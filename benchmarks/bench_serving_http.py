@@ -21,7 +21,8 @@ encoding) and asks two questions:
 
 All capacity-phase answers are asserted bit-identical to sequential
 ``S3kSearch.search``.  Emits ``BENCH_serving_http.json`` with the
-latency-vs-load curve; ``check_http_budget.py`` hard-gates it in CI.
+latency-vs-load curve; ``check_gates.py http_budget`` hard-gates it in
+CI.
 """
 
 import asyncio
@@ -31,12 +32,7 @@ import time
 from typing import Dict, List
 
 from repro import Engine, EngineConfig, S3kSearch
-from repro.engine.http import (
-    HttpClientConnection,
-    HttpConfig,
-    HttpServer,
-    http_call,
-)
+from repro.engine.http import HttpConfig, HttpServer
 from repro.eval import format_table, latency_percentiles
 from repro.queries.workload import (
     QuerySpec,
@@ -47,6 +43,7 @@ from repro.queries.workload import (
 
 from benchmarks.conftest import write_result
 from benchmarks.emit import read_bench_json, write_bench_json
+from tests.http_harness import HttpClientConnection, http_call
 
 #: Mirror of the bench_serving_latency uniform mix so the capacity
 #: number is an apples-to-apples comparison against the committed
@@ -356,8 +353,8 @@ def test_serving_http(benchmark, twitter_instance):
         },
     )
 
-    # SLOs (CI runs this bench continue-on-error; check_http_budget.py is
-    # the hard gate and re-checks the structural half of these).  The
+    # SLOs (CI runs this bench continue-on-error; check_gates.py
+    # http_budget is the hard gate and re-checks the structural half of these).  The
     # capacity floor compares against the engine-only replay measured in
     # this same run — a ratio, so shared-runner speed doesn't trip it.
     assert capacity["qps"] >= CAPACITY_FLOOR * capacity["engine_qps"], (

@@ -21,8 +21,8 @@ Every sharded answer is asserted bit-identical to a single-process
 engine run sequentially over the same workload.  The emitted
 ``BENCH_sharded_scaling.json`` records the measured core count
 honestly: on a 1-core container real parallel speedup is impossible,
-so the in-bench asserts (and the CI gate in
-``check_sharded_scaling.py``) scale their floors with ``cores`` — the
+so the in-bench asserts (and the CI gate
+``check_gates.py sharded_scaling``) scale their floors with ``cores`` — the
 full 1.5x target is enforced where >= 4 cores exist, while the
 0.67x fan-out regression shape hard-fails everywhere.
 """
@@ -57,7 +57,7 @@ TRAFFIC_MIXES = (
     ("hot", 16, 1.2),
 )
 #: Speedup floors for 4 shards vs 1 shard on the uniform mix, keyed by
-#: available cores.  Mirrors benchmarks/check_sharded_scaling.py: the
+#: available cores.  Mirrors benchmarks/check_gates.py: the
 #: ISSUE 7 target (1.5x) applies where the hardware can deliver it; on
 #: fewer cores the floor only guards against the fan-out regression.
 SPEEDUP_FLOORS = {1: 0.75, 2: 1.15, 3: 1.3}

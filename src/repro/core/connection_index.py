@@ -201,9 +201,6 @@ class _ComponentSlab:
         "ev_pair",
         "coverage",
         "candidate_order",
-        "tag_uris",
-        "node_activity",
-        "tag_activity",
     )
 
     def __init__(self) -> None:
@@ -222,11 +219,6 @@ class _ComponentSlab:
         self.ev_pair: np.ndarray = np.empty(0, dtype=np.int32)
         self.coverage: np.ndarray = np.zeros((0, 0), dtype=bool)
         self.candidate_order: np.ndarray = np.empty(0, dtype=np.int32)
-        # Warm-start state for delta patching (never persisted; slabs
-        # adopted from a store carry none and rebuild cold when touched).
-        self.tag_uris: List[URI] = []
-        self.node_activity: Optional[sparse.csr_matrix] = None
-        self.tag_activity: Optional[sparse.csr_matrix] = None
 
     # -- stats ----------------------------------------------------------
     @property
@@ -363,11 +355,9 @@ class ConnectionIndex:
         Contract: the caller (the kernel delta path) has already patched
         ``component_index`` in place and certified that only the
         components in *touched* gained base facts.  Touched slabs that
-        were already built are rebuilt with a warm fixpoint seed — the
-        previous slab's final boolean activity re-seeded alongside the
-        new base facts, which converges to the same least fixpoint in a
-        round or two and yields bit-identical arrays (the oracle sweep
-        asserts this against from-scratch builds).  Every other slab is
+        were already built are rebuilt cold from the patched component
+        (bit-identical to a from-scratch build by construction; the
+        oracle sweep asserts it).  Every other slab is
         carried forward copy-on-patch: only its version stamp moves,
         its arrays — possibly adopted shm/mmap segments — are never
         written.
@@ -380,11 +370,10 @@ class ConnectionIndex:
             if ident not in touched:
                 slab.version = version
         for ident in touched:
-            old = self._slabs.pop(ident, None)
-            if old is None:
+            if self._slabs.pop(ident, None) is None:
                 continue  # never built — leave it to the lazy path
             self._slabs[ident] = self._build_slab(
-                self.component_index.component(ident), warm=old
+                self.component_index.component(ident)
             )
             patched += 1
         elapsed = time.perf_counter() - started
@@ -554,52 +543,7 @@ class ConnectionIndex:
     # ------------------------------------------------------------------
     # Offline build
     # ------------------------------------------------------------------
-    @staticmethod
-    def _warm_activity_seed(
-        warm: _ComponentSlab,
-        slab: "_ComponentSlab",
-        tag_of: Dict[URI, int],
-        n_nodes: int,
-        n_tags: int,
-        n_atoms: int,
-    ) -> Optional[Tuple[sparse.csr_matrix, sparse.csr_matrix]]:
-        """The previous final activity remapped into the new slab's axes.
-
-        Valid only when the old node set is unchanged and the old atom /
-        tag sets embed in the new ones (exactly the shape of a patchable
-        tag or comment-edge delta); anything else means no seed — the
-        fixpoint simply starts cold, which is always sound.
-        """
-        if warm.node_activity is None or warm.tag_activity is None:
-            return None
-        if warm.node_uris != slab.node_uris:
-            return None
-        if any(atom not in slab.atom_of for atom in warm.atoms):
-            return None
-        if any(uri not in tag_of for uri in warm.tag_uris):
-            return None
-        atom_map = np.asarray(
-            [slab.atom_of[atom] for atom in warm.atoms], dtype=np.intp
-        )
-        tag_map = np.asarray([tag_of[uri] for uri in warm.tag_uris], dtype=np.intp)
-
-        def remap(
-            matrix: sparse.csr_matrix,
-            row_map: Optional[np.ndarray],
-            shape: Tuple[int, int],
-        ) -> sparse.csr_matrix:
-            coo = matrix.tocoo()
-            rows = coo.row if row_map is None else row_map[coo.row]
-            cols = atom_map[coo.col]
-            return _bool_csr(rows, cols, shape)
-
-        node_seed = remap(warm.node_activity, None, (n_nodes, n_atoms))
-        tag_seed = remap(warm.tag_activity, tag_map, (n_tags, n_atoms))
-        return node_seed, tag_seed
-
-    def _build_slab(
-        self, component: Component, warm: Optional[_ComponentSlab] = None
-    ) -> _ComponentSlab:
+    def _build_slab(self, component: Component) -> _ComponentSlab:
         instance = self._instance
         slab = _ComponentSlab()
         slab.ident = component.ident
@@ -709,20 +653,8 @@ class ConnectionIndex:
         comment_members = _bool_csr(cm_rows, cm_cols, (n_nodes, n_nodes))
 
         # -- phase 1: non-emptiness fixpoint, vectorized over atoms -----
-        # A warm seed unions the previous slab's final activity with the
-        # new base facts.  The rules are monotone and the seed is bounded
-        # by the new least fixpoint, so the loop converges to exactly the
-        # same activity sets (hence bit-identical canonical CSR) as a
-        # cold start — just in fewer rounds.
         node_any = contains.copy()
         tag_any = tag_kw.copy()
-        if warm is not None:
-            seed = self._warm_activity_seed(
-                warm, slab, tag_of, n_nodes, n_tags, n_atoms
-            )
-            if seed is not None:
-                node_any = _clamp(node_any + seed[0])
-                tag_any = _clamp(tag_any + seed[1])
         while True:
             subtree_any = _clamp(ancestors @ node_any)
             tag_next = _clamp(
@@ -738,9 +670,6 @@ class ConnectionIndex:
                 break
             tag_any, node_any = tag_next, node_next
         subtree_any = _clamp(ancestors @ node_any)
-        slab.tag_uris = tag_uris
-        slab.node_activity = node_any
-        slab.tag_activity = tag_any
 
         # -- phase 2: exact (type, src) pairs with per-atom masks --------
         # Endorsement gates are now static (final activity), so the source

@@ -15,11 +15,12 @@ body whether it arrived over a socket or a pipe.
 from __future__ import annotations
 
 import asyncio
-from typing import Dict, Optional, Tuple
+from typing import Dict, Mapping, Optional, Tuple
 
 from ..core.connection_index import StaleIndexError
 
 __all__ = [
+    "Refusal",
     "ShardUnavailableError",
     "classify_error",
     "error_message",
@@ -39,6 +40,38 @@ class ShardUnavailableError(RuntimeError):
     """
 
 
+class Refusal(Exception):
+    """A request the serving tier declines on its own account.
+
+    The server raises (or returns) one of these instead of hand-building
+    an error dict, so every refusal is shaped by :func:`error_payload`
+    like any other failure.  The refusals the HTTP tier issues:
+
+    ======  =====================  =============================================
+    status  kind                   when
+    ======  =====================  =============================================
+    405     ``method_not_allowed`` wrong method for the endpoint (``allow``)
+    413     ``batch_too_large``    a batch larger than the whole admission queue
+    429     ``overloaded``         the admission queue is full (``retry-after``)
+    503     ``draining``           the server is draining (``connection: close``)
+    ======  =====================  =============================================
+
+    *headers* are extra response headers the refusal carries.
+    """
+
+    def __init__(
+        self,
+        status: int,
+        kind: str,
+        message: str,
+        headers: Optional[Mapping[str, str]] = None,
+    ) -> None:
+        super().__init__(message)
+        self.status = status
+        self.kind = kind
+        self.headers: Dict[str, str] = dict(headers or {})
+
+
 def classify_error(exc: BaseException) -> Tuple[int, str]:
     """(HTTP status, machine-readable kind) for a serving failure.
 
@@ -49,8 +82,11 @@ def classify_error(exc: BaseException) -> Tuple[int, str]:
     * a crashed / respawning shard worker → 503 (retryable: the router
       respawns the worker; a load balancer retries elsewhere meanwhile);
     * an expired per-request deadline → 504;
+    * a :class:`Refusal` → its own status and kind;
     * anything else → 500.
     """
+    if isinstance(exc, Refusal):
+        return exc.status, exc.kind
     if isinstance(exc, StaleIndexError):
         return 503, "stale_index"
     if isinstance(exc, ShardUnavailableError):

@@ -45,9 +45,10 @@ requests in a known in-flight state (the executor thread blocks on a
 ``threading.Event``), and ``force_queue_full`` trips the 429 path with
 one request.  The hooks are inert unless armed.
 
-The tiny HTTP client at the bottom (:func:`http_call`,
-:class:`HttpClientConnection`) exists for the in-process test harness
-and the open-loop load benchmark; it is not a general-purpose client.
+**Refusals.** Every failure — including the server's own refusals
+(:class:`~repro.engine.errors.Refusal`: 405, 413, 429, draining 503) —
+is shaped by :func:`~repro.engine.errors.error_payload`, and its server
+counter is derived from the shaped status and kind in one place.
 """
 
 from __future__ import annotations
@@ -56,14 +57,15 @@ import asyncio
 import itertools
 import json
 import logging
+import math
 import re
 import signal
 import threading
 import time
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Awaitable, Callable, Dict, List, Optional, Tuple
 
-from .errors import classify_error, error_payload
+from .errors import Refusal, classify_error, error_payload
 from .facade import Engine, StaleIndexError
 from .request import MutationRequest, QueryRequest
 
@@ -72,9 +74,6 @@ __all__ = [
     "HttpServer",
     "FaultInjector",
     "run_http_server",
-    "http_call",
-    "HttpClientConnection",
-    "ClientResponse",
 ]
 
 log = logging.getLogger("repro.engine.http")
@@ -98,6 +97,21 @@ _ROUTES = {
     "/stats": "GET",
     "/healthz": "GET",
 }
+
+#: The body shape named in the 400 for a body that is not a JSON object.
+_SEARCH_SHAPE = "a JSON object (a query mapping or a {'queries': [...]} batch)"
+_MUTATION_SHAPE = "a JSON mutation mapping with an 'op' field"
+
+#: The server counter a shaped failure bumps, keyed by (status, kind);
+#: every other failure counts under ``errors``.
+_FAILURE_COUNTERS = {
+    (429, "overloaded"): "rejected_429",
+    (503, "draining"): "draining_503",
+    (504, "deadline_exceeded"): "deadline_504",
+}
+
+#: (status, JSON body, extra response headers) of one answered request.
+_Response = Tuple[int, Dict[str, object], Dict[str, str]]
 
 #: Refuse absurd bodies outright (a batch of thousands of queries
 #: should arrive as several requests that admission control can meter).
@@ -432,7 +446,7 @@ class HttpServer:
                             method, path, headers, body
                         )
                     except Exception as exc:  # noqa: BLE001 - last-resort 500
-                        self.counters["errors"] += 1
+                        self._count_failure(exc)
                         status, payload, extra = 500, error_payload(exc), {}
                     close = (
                         self._draining
@@ -441,7 +455,7 @@ class HttpServer:
                     try:
                         data = self._encode(status, payload, close=close, extra=extra)
                     except Exception as exc:  # noqa: BLE001 - unencodable payload
-                        self.counters["errors"] += 1
+                        self._count_failure(exc)
                         status, close, extra = 500, True, {}
                         data = self._encode(500, error_payload(exc), close=True)
                     writer.write(data)
@@ -523,30 +537,36 @@ class HttpServer:
     # ------------------------------------------------------------------
     async def _dispatch(
         self, method: str, path: str, headers: Dict[str, str], body: bytes
-    ) -> Tuple[int, Dict[str, object], Dict[str, str]]:
+    ) -> _Response:
         self.counters["requests"] += 1
         if path not in _ROUTES:
-            self.counters["errors"] += 1
-            return 404, error_payload(KeyError(f"no such endpoint: {path}")), {}
+            return self._refuse(KeyError(f"no such endpoint: {path}"))
         if method != _ROUTES[path]:
-            self.counters["errors"] += 1
-            payload = {
-                "error": {
-                    "type": "method_not_allowed",
-                    "status": 405,
-                    "message": f"{path} only accepts {_ROUTES[path]}",
-                }
-            }
-            return 405, payload, {"allow": _ROUTES[path]}
+            return self._refuse(
+                Refusal(
+                    405,
+                    "method_not_allowed",
+                    f"{path} only accepts {_ROUTES[path]}",
+                    headers={"allow": _ROUTES[path]},
+                )
+            )
         if path == "/healthz":
             return self._healthz()
         if path == "/stats":
             return self._stats()
         if path == "/mutate":
-            return await self._mutate(headers, body)
-        return await self._search(headers, body)
+            return await self._admit(
+                headers,
+                body,
+                _MUTATION_SHAPE,
+                self._parse_mutation,
+                self._apply_mutation,
+            )
+        return await self._admit(
+            headers, body, _SEARCH_SHAPE, self._parse_search, self._answer_search
+        )
 
-    def _healthz(self) -> Tuple[int, Dict[str, object], Dict[str, str]]:
+    def _healthz(self) -> _Response:
         if self.failure is not None:
             payload = error_payload(self.failure)
             payload["status"] = "stale_index"
@@ -556,7 +576,7 @@ class HttpServer:
         served = self.engine.stats()["engine"]["queries_served"]
         return 200, {"status": "ok", "queries_served": served}, {}
 
-    def _stats(self) -> Tuple[int, Dict[str, object], Dict[str, str]]:
+    def _stats(self) -> _Response:
         server: Dict[str, object] = dict(self.counters)
         server["inflight"] = self._inflight
         server["max_inflight"] = self.config.max_inflight
@@ -569,82 +589,97 @@ class HttpServer:
         return 200, payload, {}
 
     # ------------------------------------------------------------------
-    # /search
+    # Admission and error shaping
     # ------------------------------------------------------------------
-    async def _search(
-        self, headers: Dict[str, str], body: bytes
-    ) -> Tuple[int, Dict[str, object], Dict[str, str]]:
-        request_id: object = headers.get("x-request-id") or f"req-{next(self._request_ids)}"
+    def _count_failure(self, exc: BaseException) -> int:
+        """Bump the server counter *exc* shapes to; returns its status."""
+        status, kind = classify_error(exc)
+        self.counters[_FAILURE_COUNTERS.get((status, kind), "errors")] += 1
+        return status
+
+    def _refuse(
+        self,
+        exc: BaseException,
+        request_id: object = None,
+        extra: Optional[Dict[str, str]] = None,
+    ) -> _Response:
+        """The response for a failed request: status, body, headers and
+        server counter all derive from :func:`classify_error`."""
+        status = self._count_failure(exc)
+        extra = {} if extra is None else extra
+        if isinstance(exc, Refusal):
+            extra.update(exc.headers)
+        return status, error_payload(exc, request_id), extra
+
+    async def _admit(
+        self,
+        headers: Dict[str, str],
+        body: bytes,
+        shape: str,
+        parse: Callable[[Dict[str, object]], Tuple[object, int]],
+        run: Callable[[object, Optional[float], object], Awaitable[Dict[str, object]]],
+    ) -> _Response:
+        """The one admission envelope of ``/search`` and ``/mutate``.
+
+        Resolves the request id (``X-Request-Id``, else the body's
+        ``id``, else a generated one); refuses while degraded or
+        draining (503); parses the JSON object body (*shape* names it in
+        the 400), its deadline and — through the route's *parse* — the
+        work and how many admission slots it occupies; refuses work
+        larger than the whole queue (413) or that does not fit now
+        (429 + ``Retry-After``); then holds its slots while the route's
+        *run* answers.  A write is metered by the same backpressure as a
+        read.
+        """
+        request_id: object = (
+            headers.get("x-request-id") or f"req-{next(self._request_ids)}"
+        )
         extra = {"x-request-id": str(request_id)}
         if self.failure is not None:
-            self.counters["errors"] += 1
-            return 503, error_payload(self.failure, request_id), extra
+            return self._refuse(self.failure, request_id, extra)
         if self._draining:
-            self.counters["draining_503"] += 1
-            payload = {
-                "error": {
-                    "type": "draining",
-                    "status": 503,
-                    "message": "server is draining; retry against another replica",
-                },
-                "id": request_id,
-            }
-            return 503, payload, extra
+            return self._refuse(
+                Refusal(
+                    503,
+                    "draining",
+                    "server is draining; retry against another replica",
+                ),
+                request_id,
+                extra,
+            )
         try:
             payload_obj = json.loads(body.decode("utf-8")) if body else None
             if not isinstance(payload_obj, dict):
-                raise TypeError(
-                    "the request body must be a JSON object (a query mapping "
-                    "or a {'queries': [...]} batch)"
-                )
+                raise TypeError(f"the request body must be {shape}")
             if "id" in payload_obj and "x-request-id" not in headers:
                 request_id = payload_obj["id"]
                 extra["x-request-id"] = str(request_id)
             deadline = self._deadline_of(headers, payload_obj)
-            queries = payload_obj.pop("queries", None)
-            if queries is not None and not isinstance(queries, list):
-                raise TypeError("'queries' must be a list of query mappings")
-        except Exception as exc:  # noqa: BLE001 - shaped below
-            self.counters["errors"] += 1
-            return classify_error(exc)[0], error_payload(exc, request_id), extra
-
-        cost = max(1, len(queries)) if queries is not None else 1
-        if cost > self.config.max_inflight:
-            # No amount of retrying can admit this batch — it is larger
-            # than the whole admission queue.  Answer 413 with a remedy
-            # instead of a 429 whose Retry-After could never succeed.
-            self.counters["errors"] += 1
-            payload = {
-                "error": {
-                    "type": "batch_too_large",
-                    "status": 413,
-                    "message": (
-                        f"batch of {cost} queries exceeds max_inflight="
-                        f"{self.config.max_inflight}; split it into "
-                        f"smaller requests"
-                    ),
-                },
-                "id": request_id,
-            }
-            return 413, payload, extra
-        if (
-            self.faults.force_queue_full
-            or self._inflight + cost > self.config.max_inflight
-        ):
-            self.counters["rejected_429"] += 1
-            payload = {
-                "error": {
-                    "type": "overloaded",
-                    "status": 429,
-                    "message": (
-                        f"admission queue full "
-                        f"({self._inflight}/{self.config.max_inflight} in flight)"
-                    ),
-                },
-                "id": request_id,
-            }
-            extra["retry-after"] = str(self.config.retry_after)
-            return 429, payload, extra
+            work, cost = parse(payload_obj)
+            if cost > self.config.max_inflight:
+                # No amount of retrying can admit this batch — it is
+                # larger than the whole admission queue.  Answer 413 with
+                # a remedy instead of a 429 whose Retry-After could never
+                # succeed.
+                raise Refusal(
+                    413,
+                    "batch_too_large",
+                    f"batch of {cost} queries exceeds max_inflight="
+                    f"{self.config.max_inflight}; split it into smaller requests",
+                )
+            if (
+                self.faults.force_queue_full
+                or self._inflight + cost > self.config.max_inflight
+            ):
+                raise Refusal(
+                    429,
+                    "overloaded",
+                    f"admission queue full "
+                    f"({self._inflight}/{self.config.max_inflight} in flight)",
+                    headers={"retry-after": str(self.config.retry_after)},
+                )
+        except Exception as exc:  # noqa: BLE001 - shaped by _refuse
+            return self._refuse(exc, request_id, extra)
 
         async with self._state:
             self._inflight += cost
@@ -653,41 +688,9 @@ class HttpServer:
             )
             self._state.notify_all()
         try:
-            if queries is None:
-                try:
-                    record = await self._answer_one(payload_obj, deadline, request_id)
-                except Exception as exc:  # noqa: BLE001 - shaped below
-                    status = classify_error(exc)[0]
-                    if status == 504:
-                        self.counters["deadline_504"] += 1
-                    else:
-                        self.counters["errors"] += 1
-                    return status, error_payload(exc, request_id), extra
-                self.counters["queries_answered"] += 1
-                return 200, record, extra
-            # Batch envelope: per-item answers or shaped errors, exactly
-            # like the JSONL loop — the envelope itself is the 200.
-            outcomes = await asyncio.gather(
-                *[
-                    self._answer_one(item, deadline, f"{request_id}/{position}")
-                    for position, item in enumerate(queries)
-                ],
-                return_exceptions=True,
-            )
-            records: List[Dict[str, object]] = []
-            for position, outcome in enumerate(outcomes):
-                if isinstance(outcome, BaseException):
-                    if classify_error(outcome)[0] == 504:
-                        self.counters["deadline_504"] += 1
-                    else:
-                        self.counters["errors"] += 1
-                    records.append(
-                        error_payload(outcome, f"{request_id}/{position}")
-                    )
-                else:
-                    self.counters["queries_answered"] += 1
-                    records.append(outcome)
-            return 200, {"id": request_id, "results": records}, extra
+            return 200, await run(work, deadline, request_id), extra
+        except Exception as exc:  # noqa: BLE001 - shaped by _refuse
+            return self._refuse(exc, request_id, extra)
         finally:
             async with self._state:
                 self._inflight -= cost
@@ -702,9 +705,51 @@ class HttpServer:
         if raw is None:
             return self.config.default_deadline
         deadline = float(raw) / 1e3
-        if deadline <= 0:
+        if not deadline > 0:  # NaN is not positive either
             raise ValueError(f"deadline_ms must be positive, got {raw!r}")
+        if math.isinf(deadline):
+            raise ValueError(f"deadline_ms must be finite, got {raw!r}")
         return deadline
+
+    # ------------------------------------------------------------------
+    # /search
+    # ------------------------------------------------------------------
+    @staticmethod
+    def _parse_search(payload: Dict[str, object]) -> Tuple[object, int]:
+        """One query mapping (one slot), or a ``{"queries": [...]}``
+        batch occupying a slot per query."""
+        queries = payload.pop("queries", None)
+        if queries is None:
+            return payload, 1
+        if not isinstance(queries, list):
+            raise TypeError("'queries' must be a list of query mappings")
+        return queries, max(1, len(queries))
+
+    async def _answer_search(
+        self, work: object, deadline: Optional[float], request_id: object
+    ) -> Dict[str, object]:
+        if isinstance(work, dict):
+            record = await self._answer_one(work, deadline, request_id)
+            self.counters["queries_answered"] += 1
+            return record
+        # Batch envelope: per-item answers or shaped errors, exactly
+        # like the JSONL loop — the envelope itself is the 200.
+        outcomes = await asyncio.gather(
+            *[
+                self._answer_one(item, deadline, f"{request_id}/{position}")
+                for position, item in enumerate(work)
+            ],
+            return_exceptions=True,
+        )
+        records: List[Dict[str, object]] = []
+        for position, outcome in enumerate(outcomes):
+            if isinstance(outcome, BaseException):
+                self._count_failure(outcome)
+                records.append(error_payload(outcome, f"{request_id}/{position}"))
+            else:
+                self.counters["queries_answered"] += 1
+                records.append(outcome)
+        return {"id": request_id, "results": records}
 
     async def _answer_one(
         self, obj: object, deadline: Optional[float], request_id: object
@@ -725,12 +770,9 @@ class HttpServer:
             request = replace(
                 request, time_budget=max(deadline - slack, deadline / 2)
             )
-        if deadline is not None:
-            response = await asyncio.wait_for(
-                self.engine.asearch(request), timeout=deadline
-            )
-        else:
-            response = await self.engine.asearch(request)
+        response = await asyncio.wait_for(
+            self.engine.asearch(request), timeout=deadline
+        )
         record = response.to_dict()
         record["id"] = item_id
         return record
@@ -738,99 +780,27 @@ class HttpServer:
     # ------------------------------------------------------------------
     # /mutate
     # ------------------------------------------------------------------
-    async def _mutate(
-        self, headers: Dict[str, str], body: bytes
-    ) -> Tuple[int, Dict[str, object], Dict[str, str]]:
-        """One write, under the same admission control as ``/search``.
+    @staticmethod
+    def _parse_mutation(payload: Dict[str, object]) -> Tuple[object, int]:
+        return MutationRequest.from_obj(payload), 1
 
-        A mutation occupies one admission slot while the delta (or
-        fallback rebuild) propagates, so a write burst is metered by the
-        same 429 backpressure as a read burst.  Deadlines map onto
-        ``asyncio.wait_for`` exactly like query deadlines — note a 504
-        abandons the *wait*, not the write: the mutation may still
+    async def _apply_mutation(
+        self, request: object, deadline: Optional[float], request_id: object
+    ) -> Dict[str, object]:
+        """One write, holding one admission slot while the delta (or
+        fallback rebuild) propagates.
+
+        A 504 abandons the *wait*, not the write: the mutation may still
         commit after the deadline answer (at-most-once is the client's
         retry contract via idempotent tag/edge URIs).
         """
-        request_id: object = (
-            headers.get("x-request-id") or f"req-{next(self._request_ids)}"
+        response = await asyncio.wait_for(
+            self.engine.amutate(request), timeout=deadline
         )
-        extra = {"x-request-id": str(request_id)}
-        if self.failure is not None:
-            self.counters["errors"] += 1
-            return 503, error_payload(self.failure, request_id), extra
-        if self._draining:
-            self.counters["draining_503"] += 1
-            payload = {
-                "error": {
-                    "type": "draining",
-                    "status": 503,
-                    "message": "server is draining; retry against another replica",
-                },
-                "id": request_id,
-            }
-            return 503, payload, extra
-        try:
-            payload_obj = json.loads(body.decode("utf-8")) if body else None
-            if not isinstance(payload_obj, dict):
-                raise TypeError(
-                    "the request body must be a JSON mutation mapping "
-                    "with an 'op' field"
-                )
-            if "id" in payload_obj and "x-request-id" not in headers:
-                request_id = payload_obj["id"]
-                extra["x-request-id"] = str(request_id)
-            deadline = self._deadline_of(headers, payload_obj)
-            request = MutationRequest.from_obj(payload_obj)
-        except Exception as exc:  # noqa: BLE001 - shaped below
-            self.counters["errors"] += 1
-            return classify_error(exc)[0], error_payload(exc, request_id), extra
-        if (
-            self.faults.force_queue_full
-            or self._inflight + 1 > self.config.max_inflight
-        ):
-            self.counters["rejected_429"] += 1
-            payload = {
-                "error": {
-                    "type": "overloaded",
-                    "status": 429,
-                    "message": (
-                        f"admission queue full "
-                        f"({self._inflight}/{self.config.max_inflight} in flight)"
-                    ),
-                },
-                "id": request_id,
-            }
-            extra["retry-after"] = str(self.config.retry_after)
-            return 429, payload, extra
-        async with self._state:
-            self._inflight += 1
-            self.counters["peak_inflight"] = max(
-                self.counters["peak_inflight"], self._inflight
-            )
-            self._state.notify_all()
-        try:
-            try:
-                if deadline is not None:
-                    response = await asyncio.wait_for(
-                        self.engine.amutate(request), timeout=deadline
-                    )
-                else:
-                    response = await self.engine.amutate(request)
-            except Exception as exc:  # noqa: BLE001 - shaped below
-                status = classify_error(exc)[0]
-                if status == 504:
-                    self.counters["deadline_504"] += 1
-                else:
-                    self.counters["errors"] += 1
-                return status, error_payload(exc, request_id), extra
-            self.counters["mutations_applied"] += 1
-            record = response.to_dict()
-            record["id"] = request_id
-            return 200, record, extra
-        finally:
-            async with self._state:
-                self._inflight -= 1
-                self._state.notify_all()
+        self.counters["mutations_applied"] += 1
+        record = response.to_dict()
+        record["id"] = request_id
+        return record
 
 
 # ----------------------------------------------------------------------
@@ -851,90 +821,3 @@ def run_http_server(server: HttpServer, *, ready=None) -> Dict[str, int]:
     except KeyboardInterrupt:  # pragma: no cover - non-unix fallback
         pass
     return dict(server.counters)
-
-
-# ----------------------------------------------------------------------
-# Minimal HTTP client (test harness + load benchmark)
-# ----------------------------------------------------------------------
-@dataclass
-class ClientResponse:
-    status: int
-    headers: Dict[str, str]
-    body: bytes
-
-    def json(self) -> Dict[str, object]:
-        return json.loads(self.body.decode("utf-8"))
-
-
-class HttpClientConnection:
-    """One keep-alive client connection (in-process testing / benching)."""
-
-    def __init__(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter):
-        self._reader = reader
-        self._writer = writer
-
-    @classmethod
-    async def open(cls, port: int, host: str = "127.0.0.1") -> "HttpClientConnection":
-        reader, writer = await asyncio.open_connection(host, port)
-        return cls(reader, writer)
-
-    async def request(
-        self,
-        method: str,
-        path: str,
-        *,
-        body: Union[None, bytes, str, Dict[str, object]] = None,
-        headers: Optional[Dict[str, str]] = None,
-    ) -> ClientResponse:
-        if isinstance(body, dict):
-            body = json.dumps(body)
-        if isinstance(body, str):
-            body = body.encode("utf-8")
-        payload = body or b""
-        lines = [f"{method} {path} HTTP/1.1", "host: localhost"]
-        for name, value in (headers or {}).items():
-            lines.append(f"{name}: {value}")
-        lines.append(f"content-length: {len(payload)}")
-        self._writer.write(("\r\n".join(lines) + "\r\n\r\n").encode() + payload)
-        await self._writer.drain()
-        return await self._read_response()
-
-    async def _read_response(self) -> ClientResponse:
-        status_line = await self._reader.readline()
-        if not status_line:
-            raise ConnectionError("server closed the connection")
-        status = int(status_line.split()[1])
-        response_headers: Dict[str, str] = {}
-        while True:
-            line = await self._reader.readline()
-            if line in (b"\r\n", b"\n", b""):
-                break
-            name, _, value = line.decode("latin-1").partition(":")
-            response_headers[name.strip().lower()] = value.strip()
-        length = int(response_headers.get("content-length", 0) or 0)
-        body = await self._reader.readexactly(length) if length else b""
-        return ClientResponse(status=status, headers=response_headers, body=body)
-
-    async def aclose(self) -> None:
-        self._writer.close()
-        try:
-            await self._writer.wait_closed()
-        except (ConnectionError, OSError):
-            pass
-
-
-async def http_call(
-    port: int,
-    method: str,
-    path: str,
-    *,
-    body: Union[None, bytes, str, Dict[str, object]] = None,
-    headers: Optional[Dict[str, str]] = None,
-    host: str = "127.0.0.1",
-) -> ClientResponse:
-    """One request on a fresh connection (closed afterwards)."""
-    connection = await HttpClientConnection.open(port, host=host)
-    try:
-        return await connection.request(method, path, body=body, headers=headers)
-    finally:
-        await connection.aclose()

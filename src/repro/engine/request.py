@@ -18,12 +18,23 @@ serializes to the JSONL shape of the ``serve`` subcommand.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, fields
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from ..core.search import SearchResult, _normalize_keywords
 from ..rdf.terms import Term, URI
 from ..social.tags import Tag
+
+
+def _int_at_least(name: str, value: object, minimum: int) -> object:
+    """*value*, checked to be an integer (not a bool) >= *minimum*."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -53,7 +64,19 @@ class QueryRequest:
             )
         object.__setattr__(self, "seeker", URI(self.seeker))
         object.__setattr__(self, "keywords", _normalize_keywords(self.keywords))
-        object.__setattr__(self, "k", int(self.k))
+        object.__setattr__(self, "k", int(_int_at_least("k", self.k, 1)))
+        if not isinstance(self.semantic, bool):
+            raise TypeError(f"semantic must be a bool, got {self.semantic!r}")
+        if self.max_iterations is not None:
+            _int_at_least("max_iterations", self.max_iterations, 0)
+        if self.time_budget is not None:
+            budget = self.time_budget
+            if isinstance(budget, bool) or not isinstance(budget, numbers.Real):
+                raise TypeError(f"time_budget must be a number, got {budget!r}")
+            if not 0 <= budget < math.inf:  # NaN fails both comparisons
+                raise ValueError(
+                    f"time_budget must be finite and >= 0, got {budget!r}"
+                )
 
     # ------------------------------------------------------------------
     @classmethod
@@ -98,8 +121,8 @@ class QueryRequest:
             return cls(
                 seeker=obj["seeker"],
                 keywords=obj["keywords"],
-                k=int(obj.get("k") or default_k),
-                semantic=bool(obj.get("semantic", semantic)),
+                k=obj.get("k") or default_k,
+                semantic=obj.get("semantic", semantic),
                 max_iterations=obj.get("max_iterations", max_iterations),
                 time_budget=obj.get("time_budget", time_budget),
             )
@@ -107,8 +130,8 @@ class QueryRequest:
             return cls(
                 seeker=getattr(obj, "seeker"),
                 keywords=getattr(obj, "keywords"),
-                k=int(getattr(obj, "k", default_k) or default_k),
-                semantic=bool(getattr(obj, "semantic", semantic)),
+                k=getattr(obj, "k", default_k) or default_k,
+                semantic=getattr(obj, "semantic", semantic),
                 max_iterations=getattr(obj, "max_iterations", max_iterations),
                 time_budget=getattr(obj, "time_budget", time_budget),
             )
@@ -128,7 +151,7 @@ class QueryRequest:
                 return cls(
                     seeker=seeker,
                     keywords=keywords,
-                    k=int(query_k),
+                    k=query_k or default_k,
                     semantic=semantic,
                     max_iterations=max_iterations,
                     time_budget=time_budget,

@@ -239,6 +239,8 @@ class TestServeHttp:
 
         import repro.engine.http as http_module
 
+        from .http_harness import http_call
+
         started = threading.Event()
         box = {}
         real_run = http_module.run_http_server
@@ -258,7 +260,7 @@ class TestServeHttp:
             assert started.wait(timeout=30), "server never became ready"
 
             async def ask():
-                return await http_module.http_call(
+                return await http_call(
                     box["port"],
                     "POST",
                     "/search",

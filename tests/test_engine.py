@@ -104,10 +104,22 @@ class TestQueryRequestFromObj:
             ("u1", ["a"], 3, "extra"),
             {"seeker": "u1"},
             {"seeker": "u1", "keywords": ["a"], "nope": 1},
+            {"seeker": "u1", "keywords": ["a"], "k": -3},
+            {"seeker": "u1", "keywords": ["a"], "k": 2.5},
+            {"seeker": "u1", "keywords": ["a"], "k": "3"},
+            {"seeker": "u1", "keywords": ["a"], "semantic": "no"},
+            {"seeker": "u1", "keywords": ["a"], "max_iterations": 1.5},
+            {"seeker": "u1", "keywords": ["a"], "max_iterations": "5"},
+            {"seeker": "u1", "keywords": ["a"], "max_iterations": -1},
+            {"seeker": "u1", "keywords": ["a"], "max_iterations": True},
+            {"seeker": "u1", "keywords": ["a"], "time_budget": "x"},
+            {"seeker": "u1", "keywords": ["a"], "time_budget": float("nan")},
+            {"seeker": "u1", "keywords": ["a"], "time_budget": float("inf")},
+            {"seeker": "u1", "keywords": ["a"], "time_budget": -0.5},
         ],
     )
     def test_rejects_malformed(self, bad):
-        with pytest.raises(TypeError):
+        with pytest.raises((TypeError, ValueError)):
             QueryRequest.from_obj(bad)
 
     def test_rejects_bare_string_keywords(self):

@@ -33,11 +33,10 @@ import pytest
 from repro import S3kSearch, Tag, URI
 from repro.core import ConnectionIndex
 from repro.engine import Engine, EngineConfig, FaultInjector, HttpConfig
-from repro.engine.http import HttpClientConnection, http_call
 from repro.storage import SQLiteStore
 
 from .fixtures import figure1_instance
-from .http_harness import running_server, run
+from .http_harness import HttpClientConnection, http_call, running_server, run
 
 QUERY = {"seeker": "u1", "keywords": ["degre"], "k": 3}
 OTHER = {"seeker": "u0", "keywords": ["debate"], "k": 2}
@@ -387,7 +386,8 @@ class TestDeadlines:
         # kernel's anytime budget.
         assert 0 < echoed["time_budget"] < 5.0
 
-    def test_nonpositive_deadline_is_a_400(self):
+    @pytest.mark.parametrize("deadline_ms", ["0", "-inf", "nan", "inf", "1e400"])
+    def test_nonpositive_deadline_is_a_400(self, deadline_ms):
         async def go():
             async with running_server(_engine()) as server:
                 return await http_call(
@@ -395,7 +395,7 @@ class TestDeadlines:
                     "POST",
                     "/search",
                     body=QUERY,
-                    headers={"x-deadline-ms": "0"},
+                    headers={"x-deadline-ms": deadline_ms},
                 )
 
         response = run(go())

@@ -40,12 +40,11 @@ from repro.core.instance import (
     TagDelta,
 )
 from repro.engine import Engine, MutationRequest, ShardedEngine, run_serve
-from repro.engine.http import http_call
 from repro.rdf import URI
 from repro.social import Tag
 
 from .fixtures import figure1_instance, two_community_instance
-from .http_harness import run, running_server
+from .http_harness import HttpClientConnection, http_call, run, running_server
 from .instance_gen import VOCABULARY, random_instance
 
 #: Randomized instances for the interleaved mutate/query oracle sweep
@@ -513,7 +512,6 @@ class TestHttpMutate:
         import asyncio
 
         from repro.engine import FaultInjector
-        from repro.engine.http import HttpClientConnection
 
         async def scenario():
             faults = FaultInjector()

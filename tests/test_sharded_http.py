@@ -29,13 +29,12 @@ import pytest
 
 from repro.core import ConnectionIndex, S3kSearch
 from repro.engine import Engine, FaultInjector, HttpConfig
-from repro.engine.http import http_call
 from repro.rdf import URI
 from repro.social import Tag
 from repro.storage import SQLiteStore
 
 from .fixtures import figure1_instance
-from .http_harness import running_server, run
+from .http_harness import http_call, running_server, run
 
 QUERY = {"seeker": "u1", "keywords": ["degre"], "k": 3}
 
